@@ -7,8 +7,8 @@ evaluations.  The reference implementations traverse Python objects —
 ``network.node(n).is_user`` and ``ledger.has_at_least()`` are dict
 lookups per edge, and every channel rate goes through a tuple-keyed
 memo.  :class:`CompiledNetwork` flattens one ``(QuantumNetwork,
-LinkModel)`` pair into numpy arrays once, after which the search kernel
-runs masked array operations over whole CSR rows:
+LinkModel)`` pair into flat arrays once, after which the search kernel
+relaxes precomputed rate rows:
 
 * **CSR adjacency** — ``indptr``/``adj_nodes``/``adj_edges`` with
   neighbours in ascending node-id order (the exact order the reference
@@ -18,22 +18,19 @@ runs masked array operations over whole CSR rows:
   width, filled through the same scalar
   :func:`~repro.quantum.noise.channel_success_probability` the
   reference :class:`~repro.routing.metrics.ChannelRateCache` uses, so
-  every rate is bit-identical, plus slot-aligned copies so a whole CSR
-  row's candidate rates come from one vector multiply;
+  every rate is bit-identical, plus slot-aligned copies so each CSR
+  slot's candidate rate is one list read;
 * **masked-row relaxation** — feasibility is folded into precomputed
   per-(width, flags-version, destination) rate rows with infeasible
   slots zeroed (one vectorised build, cached), so relaxing a popped
   node's row is a bare multiply + strict-improvement compare per slot
   with no per-edge lookups; pushes happen in ascending slot order with
   sequential tie-break counters, replaying the reference push sequence
-  move for move.  Rows of ``_VECTOR_ROW_MIN``+ slots (hub nodes)
-  relax through numpy array ops over the row slice; shorter rows use
-  a scalar loop over the same masked values, the measured win at mesh
-  degrees where array-dispatch overhead dominates.  The relax-time
-  ``visited`` test the reference performs is provably redundant under
-  the strict ``candidate > best`` rule (every rate factor is <= 1, so
-  a candidate can never beat a settled node's rate), which is what
-  reduces the row mask to feasibility x improvement only;
+  move for move.  The relax-time ``visited`` test the reference
+  performs is provably redundant under the strict ``candidate > best``
+  rule (every rate factor is <= 1, so a candidate can never beat a
+  settled node's rate), which is what reduces the row mask to
+  feasibility x improvement only;
 * **version-tokened feasibility flags** — per-width relay flags are
   patched from the ledger's feasibility journal in O(changes) and carry
   a version that only advances when some flag actually flips, giving
@@ -46,17 +43,13 @@ Callers no longer drive the kernel per ``(demand, width)``:
 :class:`WidthSearchBatch` binds one snapshot + one demand + the widths
 under consideration, and :func:`search_widths` (or
 ``WidthSearchBatch.search_widths``) answers every width of the batch in
-one call.  Batches of at least :func:`fused_width_min` widths (default
-2; env knob ``REPRO_FUSED_WIDTH_MIN``) answer every memo-missing width
-through one **fused multi-width Dijkstra pass**: a flattened
-``(n_widths, n_nodes)`` distance/parent matrix, one shared heap whose
-entries carry the width in the slot id, the banned sets resolved and
-each width's rate row masked once for the whole pass.  The pop/push
-subsequence of each width is provably identical to the standalone
-kernel (one global monotone tie-break counter preserves every
-same-width comparison), so fused answers are bit-exact and land in the
-same memo slots; smaller batches — and any run with the knob raised —
-take the scalar per-width path, the fused kernel's parity oracle.
+one call.  Each routing job has exactly one production kernel —
+:meth:`CompiledNetwork._kernel`, the scalar Dijkstra — plus the
+reference core as its oracle.  A batch resolves the banned sets, memo
+keys and masked rows once for all its widths and then runs the kernel
+per memo-missing width; the resolved banned frozensets are shared by
+every memo key the batch writes, so a batch costs one copy of the ban
+sets, not one per width.
 All batch searches — every width and every Yen deviation —
 share the snapshot's scratch buffers, per-width rate rows, feasibility
 flags and a **search-result memo** keyed on the exact kernel inputs
@@ -120,21 +113,9 @@ ROUTING_CORE_ENV = "REPRO_ROUTING_CORE"
 #: Valid core names; ``compiled`` is the default.
 ROUTING_CORES = ("compiled", "reference")
 
-#: Environment variable overriding the fused-kernel width threshold.
-FUSED_WIDTH_MIN_ENV = "REPRO_FUSED_WIDTH_MIN"
-
-#: Width count from which ``WidthSearchBatch.search_widths`` runs the
-#: fused multi-width kernel; smaller batches (and any value the env
-#: knob raises this to) fall back to the scalar per-width path, which
-#: doubles as the fused kernel's parity oracle.
-FUSED_WIDTH_MIN_DEFAULT = 2
-
 # Last (raw env value, parsed core) pair: the switch is consulted on
 # every routing call, so avoid re-validating an unchanged setting.
 _core_memo: Tuple[Optional[str], str] = (None, "compiled")
-
-# Same memo shape for the fused-width threshold knob.
-_fused_memo: Tuple[Optional[str], int] = (None, FUSED_WIDTH_MIN_DEFAULT)
 
 # The environment accessor, bound on first use (the hot paths consult
 # the core switch per call; a function-level ``import`` statement there
@@ -154,13 +135,6 @@ _MISS = object()
 
 #: Shared empty frozenset: the common no-bans search skips building one.
 _EMPTY: FrozenSet[int] = frozenset()
-
-#: Row length from which the kernel relaxes a CSR row with array ops
-#: instead of the scalar masked loop.  Measured on the regression
-#: fixture: below ~32 slots the fixed dispatch cost of the numpy calls
-#: exceeds the whole scalar loop (typical mesh degrees are 4-10), so
-#: vectorised relaxation only pays on hub-heavy rows.
-_VECTOR_ROW_MIN = 32
 
 
 def active_routing_core() -> str:
@@ -190,42 +164,6 @@ def active_routing_core() -> str:
         )
     _core_memo = (raw, core)
     return core
-
-
-def fused_width_min() -> int:
-    """The width count from which batched searches fuse their frontiers.
-
-    Reads ``REPRO_FUSED_WIDTH_MIN`` (default
-    :data:`FUSED_WIDTH_MIN_DEFAULT`) per call, like the core switch, so
-    tests and CI can force the scalar per-width fallback — the fused
-    kernel's parity oracle — by raising the threshold above any batch
-    size.  Values below 2 are rejected: a single-width batch has
-    nothing to fuse.
-    """
-    global _fused_memo, _env_raw
-    if _env_raw is None:
-        from repro.experiments.config import env_raw
-
-        _env_raw = env_raw
-    raw = _env_raw(FUSED_WIDTH_MIN_ENV)
-    memo_raw, memo_value = _fused_memo
-    if raw == memo_raw:
-        return memo_value
-    if raw is None:
-        value = FUSED_WIDTH_MIN_DEFAULT
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{FUSED_WIDTH_MIN_ENV} must be an integer >= 2; got {raw!r}"
-            ) from None
-        if value < 2:
-            raise ConfigurationError(
-                f"{FUSED_WIDTH_MIN_ENV} must be an integer >= 2; got {raw!r}"
-            )
-    _fused_memo = (raw, value)
-    return value
 
 
 def _ekey(a: int, b: int) -> EdgeKey:
@@ -265,7 +203,6 @@ class CompiledNetwork:
         "_row_list_cache",
         "_base_row_cache",
         "_masked_row_cache",
-        "_in_slots",
         "_in_slots_lists",
         "edge_slots_list",
         "_search_memo",
@@ -273,10 +210,6 @@ class CompiledNetwork:
         "_pred",
         "_visited",
         "_stamp",
-        "_multi_best",
-        "_multi_pred",
-        "_multi_visited",
-        "_multi_stamp",
     )
 
     def __init__(self, network: QuantumNetwork, link_model: LinkModel):
@@ -316,9 +249,9 @@ class CompiledNetwork:
                 adj_edges.append(edge_index[_ekey(nid, nbr)])
             indptr.append(len(adj_nodes))
         # Both layouts are kept: numpy arrays feed the vectorised row
-        # masking/relaxation, while the plain lists serve the kernel's
-        # scalar reads (a list index is ~3x cheaper than an ndarray
-        # scalar index, and the hot loop does several per pop).
+        # masking, while the plain lists serve the kernel's scalar reads
+        # (a list index is ~3x cheaper than an ndarray scalar index, and
+        # the hot loop does several per pop).
         self.indptr_list: List[int] = indptr
         self.adj_nodes_list: List[int] = adj_nodes
         self.indptr = np.asarray(indptr, dtype=np.intp)
@@ -349,14 +282,10 @@ class CompiledNetwork:
         self._width_columns: Dict[int, np.ndarray] = {}
         self._row_rate_cache: Dict[int, np.ndarray] = {}
         self._row_list_cache: Dict[int, List[float]] = {}
-        self._base_row_cache: Dict[
-            Tuple[int, int], Tuple[np.ndarray, List[float]]
-        ] = {}
+        self._base_row_cache: Dict[Tuple[int, int], List[float]] = {}
         self._masked_row_cache: Dict[
-            Tuple[int, int, int, FrozenSet[int]],
-            Tuple[np.ndarray, List[float]],
+            Tuple[int, int, int, FrozenSet[int]], List[float]
         ] = {}
-        self._in_slots: Dict[int, np.ndarray] = {}
         self._in_slots_lists: Dict[int, List[int]] = {}
         self._search_memo: Dict[tuple, object] = {}
         # Dijkstra scratch: plain lists, reset via the touched set (and
@@ -367,13 +296,6 @@ class CompiledNetwork:
         self._pred: List[int] = [0] * n
         self._visited: List[int] = [0] * n
         self._stamp = 0
-        # Fused multi-width scratch: the same stamp/touched discipline
-        # over flattened (width, node) slots, grown lazily to the
-        # largest batch seen (see _kernel_multi).
-        self._multi_best: List[float] = []
-        self._multi_pred: List[int] = []
-        self._multi_visited: List[int] = []
-        self._multi_stamp = 0
 
     @property
     def num_nodes(self) -> int:
@@ -561,25 +483,18 @@ class CompiledNetwork:
     # ------------------------------------------------------------------
     # The Algorithm 1 kernel
 
-    def _slots_into(self, node_idx: int) -> np.ndarray:
-        """CSR slots whose neighbour is *node_idx* (topology-static)."""
-        slots = self._in_slots.get(node_idx)
-        if slots is None:
-            slots = np.flatnonzero(self.adj_nodes == node_idx)
-            self._in_slots[node_idx] = slots
-        return slots
-
     def _slots_into_list(self, node_idx: int) -> List[int]:
-        """``_slots_into(node_idx).tolist()``, filled once."""
+        """CSR slots whose neighbour is *node_idx* (topology-static),
+        filled once."""
         slots = self._in_slots_lists.get(node_idx)
         if slots is None:
-            slots = self._slots_into(node_idx).tolist()
+            slots = np.flatnonzero(self.adj_nodes == node_idx).tolist()
             self._in_slots_lists[node_idx] = slots
         return slots
 
     def _base_row(
         self, width: int, flags: np.ndarray, version: int
-    ) -> Tuple[np.ndarray, List[float]]:
+    ) -> List[float]:
         """Destination-agnostic masked rate row per (width, version).
 
         The expensive part of a masked row — folding the relay flags
@@ -589,14 +504,15 @@ class CompiledNetwork:
         variants patch a copy (a handful of slots each).
         """
         key = (width, version)
-        pair = self._base_row_cache.get(key)
-        if pair is None:
+        row = self._base_row_cache.get(key)
+        if row is None:
             if len(self._base_row_cache) >= _MASKED_ROW_CACHE_LIMIT:
                 self._base_row_cache.clear()
-            masked = np.where(flags[self.adj_nodes], self._row_rates(width), 0.0)
-            pair = (masked, masked.tolist())
-            self._base_row_cache[key] = pair
-        return pair
+            row = np.where(
+                flags[self.adj_nodes], self._row_rates(width), 0.0
+            ).tolist()
+            self._base_row_cache[key] = row
+        return row
 
     def _masked_row_rates(
         self,
@@ -605,7 +521,7 @@ class CompiledNetwork:
         version: int,
         destination_idx: int,
         banned_edge_ids: FrozenSet[int] = frozenset(),
-    ) -> Tuple[np.ndarray, List[float]]:
+    ) -> List[float]:
         """Slot-aligned candidate rates with infeasible slots zeroed.
 
         The feasibility mask is folded straight into the rate row: a
@@ -615,79 +531,59 @@ class CompiledNetwork:
         test rejects exactly like the reference's explicit skip (``best``
         is never below 0).  This reduces relaxing a row to one multiply
         + one compare per slot with no per-edge feasibility lookups.
-        Returns the row as ``(ndarray, list)`` — same values, two
-        layouts — so the kernel can pick array ops or the scalar loop
-        per row without converting.  Banned edges (Yen's deviation
-        searches) zero both slots of each named edge on top of the base
-        row.  Cached per (width, flags version, destination, banned
-        set) — exact because the version changes whenever the flag
-        contents do, and a hit for a banned variant is common: the same
-        root-prefix bans recur across every width of the sweep and
-        every refill round.
+        Banned edges (Yen's deviation searches) zero both slots of each
+        named edge on top of the destination's row.  Cached per (width,
+        flags version, destination, banned set) — exact because the
+        version changes whenever the flag contents do, and a hit for a
+        banned variant is common: the same root-prefix bans recur across
+        every width of the sweep and every refill round.
         """
         key = (width, version, destination_idx, banned_edge_ids)
-        pair = self._masked_row_cache.get(key)
-        if pair is None:
+        masked = self._masked_row_cache.get(key)
+        if masked is None:
             if len(self._masked_row_cache) >= _MASKED_ROW_CACHE_LIMIT:
                 self._masked_row_cache.clear()
             if banned_edge_ids:
-                base_np, base_list = self._masked_row_rates(
+                masked = self._masked_row_rates(
                     width, flags, version, destination_idx
-                )
-                masked = base_np.copy()
-                masked_list = base_list.copy()
+                ).copy()
                 for eid in sorted(banned_edge_ids):
                     s0, s1 = self.edge_slots_list[eid]
                     masked[s0] = 0.0
                     masked[s1] = 0.0
-                    masked_list[s0] = 0.0
-                    masked_list[s1] = 0.0
             else:
-                base_np, base_list = self._base_row(width, flags, version)
-                rows = self._row_rates(width)
-                rows_list = self._row_list(width)
-                into_destination = self._slots_into(destination_idx)
-                masked = base_np.copy()
-                masked[into_destination] = rows[into_destination]
-                masked_list = base_list.copy()
+                masked = self._base_row(width, flags, version).copy()
+                rows = self._row_list(width)
                 for slot in self._slots_into_list(destination_idx):
-                    masked_list[slot] = rows_list[slot]
-            pair = (masked, masked_list)
-            self._masked_row_cache[key] = pair
-        return pair
+                    masked[slot] = rows[slot]
+            self._masked_row_cache[key] = masked
+        return masked
 
     def _kernel(
         self,
         source: int,
         destination: int,
-        masked_np: np.ndarray,
-        masked_list: List[float],
+        masked: List[float],
         flags_list: List[bool],
         swap2: float,
         banned_idx: Sequence[int],
     ) -> Optional[Tuple[List[int], float]]:
-        """Algorithm 1's modified Dijkstra over masked rate rows.
+        """Algorithm 1's modified Dijkstra over a masked rate row.
 
         *source*/*destination*/*banned_idx* are node **indices**;
-        ``masked_np``/``masked_list`` are the same slot-aligned rate row
-        with infeasible slots zeroed, in both layouts (see
-        :meth:`_masked_row_rates`).  Returns ``(index_path, rate)`` or
-        ``None``.
+        ``masked`` is the slot-aligned rate row with infeasible slots
+        zeroed (see :meth:`_masked_row_rates`).  Returns
+        ``(index_path, rate)`` or ``None``.
 
         The relaxation replays the reference implementation move for
         move: each popped node's CSR row is relaxed slot-ascending with
         sequential tie-break counters — the same push sequence, so the
-        returned path is bit-identical, not merely rate-equal.  Rows of
-        at least ``_VECTOR_ROW_MIN`` slots relax through array ops
-        (masked multiply + nonzero survivor scan); shorter rows use a
-        scalar loop over the list layout, because at typical mesh
-        degrees the fixed dispatch cost of the array calls exceeds the
-        whole loop.  Both branches make identical update decisions:
-        a zeroed slot can never pass the strict ``candidate > best``
-        test (``best`` is never below 0), so pre-skipping zeros in the
-        vector branch equals comparing them in the scalar branch.
-        Banned nodes are excluded by pinning their ``best`` to ``+inf``
-        (the strict test then never updates or pushes them), which also
+        returned path is bit-identical, not merely rate-equal.  A zeroed
+        slot can never pass the strict ``candidate > best`` test
+        (``best`` is never below 0), which is what lets the mask stand
+        in for the reference's per-edge feasibility checks.  Banned
+        nodes are excluded by pinning their ``best`` to ``+inf`` (the
+        strict test then never updates or pushes them), which also
         covers the reference's relax-time visited test: every rate
         factor is <= 1, so a settled node's rate is never strictly
         beaten.
@@ -701,7 +597,6 @@ class CompiledNetwork:
         adj = self.adj_nodes_list
         heappush = heapq.heappush
         heappop = heapq.heappop
-        vector_min = _VECTOR_ROW_MIN
         touched = [source]
         found = False
         try:
@@ -726,30 +621,15 @@ class CompiledNetwork:
                     if not flags_list[node]:
                         continue
                     rate = rate * swap2
-                lo = indptr[node]
-                hi = indptr[node + 1]
-                if hi - lo >= vector_min:
-                    cand = rate * masked_np[lo:hi]
-                    hits = cand.nonzero()[0]
-                    for off, c in zip(hits.tolist(),
-                                      cand.take(hits).tolist()):
-                        nbr = adj[lo + off]
-                        if c > best[nbr]:
-                            best[nbr] = c
-                            pred[nbr] = node
-                            heappush(heap, (-c, counter, nbr))
-                            counter += 1
-                            touched.append(nbr)
-                else:
-                    for slot in range(lo, hi):
-                        c = rate * masked_list[slot]
-                        nbr = adj[slot]
-                        if c > best[nbr]:
-                            best[nbr] = c
-                            pred[nbr] = node
-                            heappush(heap, (-c, counter, nbr))
-                            counter += 1
-                            touched.append(nbr)
+                for slot in range(indptr[node], indptr[node + 1]):
+                    c = rate * masked[slot]
+                    nbr = adj[slot]
+                    if c > best[nbr]:
+                        best[nbr] = c
+                        pred[nbr] = node
+                        heappush(heap, (-c, counter, nbr))
+                        counter += 1
+                        touched.append(nbr)
             if not found:
                 return None
             path = [destination]
@@ -761,134 +641,6 @@ class CompiledNetwork:
             for i in touched:
                 best[i] = 0.0
         return path, rate_found
-
-    def _kernel_multi(
-        self,
-        source: int,
-        destination: int,
-        masked_nps: Sequence[np.ndarray],
-        masked_lists: Sequence[List[float]],
-        flags_lists: Sequence[List[bool]],
-        swap2: float,
-        banned_idx: Sequence[int],
-    ) -> List[Optional[Tuple[List[int], float]]]:
-        """One fused Dijkstra pass answering every width of a batch.
-
-        The per-width rows in ``masked_nps``/``masked_lists``/
-        ``flags_lists`` are aligned; the pass carries one flattened
-        ``(n_widths, n_nodes)`` best/pred/visited matrix (slot
-        ``w * n + node``) and a single shared heap whose entries encode
-        the width in the slot id, so the widths advance through one
-        frontier and share the heap, the CSR layout and the scratch
-        reset instead of each paying its own pass.
-
-        Bit-exactness per width: a heap entry is ``(-rate, counter,
-        slot)`` with one global monotone counter.  Restricted to one
-        width's entries, the counter is a monotone relabelling of the
-        standalone kernel's per-width counter, so every comparison
-        between two same-width entries resolves exactly as it would
-        standalone, and a pop of width *w* reads and writes only width
-        *w*'s slots.  By induction the pop/push subsequence of each
-        width — and therefore its best/pred state and returned path —
-        is identical to :meth:`_kernel` run per width, float for float.
-        A width whose destination has been popped is finished; its
-        stale heap entries are skipped rather than relaxed, exactly as
-        the standalone kernel's early break discards them.
-        """
-        n = len(self.node_ids)
-        k = len(masked_lists)
-        size = k * n
-        best = self._multi_best
-        if len(best) < size:
-            self._multi_best = best = [0.0] * size
-            self._multi_pred = [0] * size
-            self._multi_visited = [0] * size
-        pred = self._multi_pred
-        visited = self._multi_visited
-        self._multi_stamp += 1
-        stamp = self._multi_stamp
-        indptr = self.indptr_list
-        adj = self.adj_nodes_list
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        vector_min = _VECTOR_ROW_MIN
-        results: List[Optional[Tuple[List[int], float]]] = [None] * k
-        done = [False] * k
-        remaining = k
-        touched: List[int] = []
-        heap: List[Tuple[float, int, int]] = []
-        counter = 0
-        try:
-            if banned_idx:
-                inf = float("inf")
-                for base in range(0, size, n):
-                    for i in banned_idx:
-                        key = base + i
-                        best[key] = inf
-                        touched.append(key)
-            for base in range(0, size, n):
-                key = base + source
-                best[key] = 1.0
-                touched.append(key)
-                # Equal rates, ascending counters: the literal list is
-                # already heap-ordered.
-                heap.append((-1.0, counter, key))
-                counter += 1
-            while heap:
-                negative_rate, _, key = heappop(heap)
-                if visited[key] == stamp:
-                    continue
-                visited[key] = stamp
-                w, node = divmod(key, n)
-                if done[w]:
-                    continue
-                if node == destination:
-                    base = key - node
-                    path = [destination]
-                    while path[-1] != source:
-                        path.append(pred[base + path[-1]])
-                    path.reverse()
-                    results[w] = (path, best[key])
-                    done[w] = True
-                    remaining -= 1
-                    if not remaining:
-                        break
-                    continue
-                rate = -negative_rate
-                if node != source:
-                    if not flags_lists[w][node]:
-                        continue
-                    rate = rate * swap2
-                base = key - node
-                lo = indptr[node]
-                hi = indptr[node + 1]
-                if hi - lo >= vector_min:
-                    cand = rate * masked_nps[w][lo:hi]
-                    hits = cand.nonzero()[0]
-                    for off, c in zip(hits.tolist(),
-                                      cand.take(hits).tolist()):
-                        nkey = base + adj[lo + off]
-                        if c > best[nkey]:
-                            best[nkey] = c
-                            pred[nkey] = node
-                            heappush(heap, (-c, counter, nkey))
-                            counter += 1
-                            touched.append(nkey)
-                else:
-                    masked = masked_lists[w]
-                    for slot in range(lo, hi):
-                        c = rate * masked[slot]
-                        nkey = base + adj[slot]
-                        if c > best[nkey]:
-                            best[nkey] = c
-                            pred[nkey] = node
-                            heappush(heap, (-c, counter, nkey))
-                            counter += 1
-                            touched.append(nkey)
-        finally:
-            for key in touched:
-                best[key] = 0.0
-        return results
 
     def run_search(
         self,
@@ -909,10 +661,25 @@ class CompiledNetwork:
         fresh search by construction; the relay-flags *version* in the
         key invalidates entries the moment any flag flips.
         """
+        banned_node_idx, banned_edge_ids = self._resolve_bans(
+            banned_nodes, banned_edges
+        )
         index_of = self.index_of
-        flags, version = self.relay_state(ledger, width)
-        # Banned entries outside the network are unreachable anyway.
+        return self._memo_search(
+            index_of[source], index_of[destination], width, swap2, ledger,
+            banned_node_idx, banned_edge_ids,
+        )
+
+    def _resolve_bans(
+        self, banned_nodes: Iterable[int], banned_edges: Iterable[EdgeKey]
+    ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        """Banned node ids and edge keys as index / edge-id frozensets.
+
+        Banned entries outside the network are unreachable anyway, so
+        they are dropped.
+        """
         if banned_nodes:
+            index_of = self.index_of
             banned_node_idx = frozenset(
                 index_of[n] for n in banned_nodes if n in index_of
             )
@@ -925,9 +692,28 @@ class CompiledNetwork:
             )
         else:
             banned_edge_ids = _EMPTY
+        return banned_node_idx, banned_edge_ids
+
+    def _memo_search(
+        self,
+        source_idx: int,
+        destination_idx: int,
+        width: int,
+        swap2: float,
+        ledger,
+        banned_node_idx: FrozenSet[int],
+        banned_edge_ids: FrozenSet[int],
+    ) -> Optional[Tuple[Tuple[int, ...], float]]:
+        """The search-memo lookup, running :meth:`_kernel` on a miss.
+
+        The memo key holds the banned frozensets as given, so callers
+        that resolve them once (a :class:`WidthSearchBatch` sweep) store
+        one shared copy across all the keys they write.
+        """
+        flags, version = self.relay_state(ledger, width)
         key = (
-            index_of[source],
-            index_of[destination],
+            source_idx,
+            destination_idx,
             width,
             version,
             swap2,
@@ -938,11 +724,11 @@ class CompiledNetwork:
         hit = memo.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        masked_np, masked_list = self._masked_row_rates(
-            width, flags, version, key[1], banned_edge_ids
-        )
         found = self._kernel(
-            key[0], key[1], masked_np, masked_list,
+            source_idx, destination_idx,
+            self._masked_row_rates(
+                width, flags, version, destination_idx, banned_edge_ids
+            ),
             self._flags_list(flags, version), swap2,
             sorted(banned_node_idx),
         )
@@ -1115,124 +901,40 @@ class WidthSearchBatch:
 
         Returns ``{width: (nodes, rate) | None}`` covering exactly the
         batch's widths, each answer bit-identical to a standalone
-        :meth:`search`.  Batches of at least :func:`fused_width_min`
-        widths run every memo-missing width through one fused
-        multi-width Dijkstra pass (:meth:`CompiledNetwork._kernel_multi`
-        — shared frontier, one flattened distance/parent matrix, the
-        banned sets resolved and each width's rate row masked once for
-        the whole pass); smaller batches fall back to the scalar
-        per-width path, which also serves as the fused kernel's parity
-        oracle.  Per-width endpoint feasibility, the banned-endpoint
-        short-circuit and the snapshot's search memo are consulted
-        exactly as :meth:`search` does, and fused results are stored
-        under the same memo keys, so the two paths are interchangeable
-        call by call.
+        :meth:`search`.  One pass over the batch: the banned sets are
+        resolved once, then each width checks endpoint feasibility and
+        the banned-endpoint short-circuit exactly as :meth:`search`
+        does, and answers from the snapshot's search memo or runs
+        :meth:`CompiledNetwork._kernel`.  Every memo key the pass writes
+        shares the one pair of resolved banned frozensets — the reason
+        this is not a loop of per-width :meth:`search` calls, which
+        would store a fresh copy of the ban sets under each width's key.
         """
-        widths = self.widths
-        if len(widths) < fused_width_min():
-            return {
-                width: self.search(
-                    width, spur_source, banned_nodes, banned_edges
-                )
-                for width in widths
-            }
         snapshot = self.snapshot
         ledger = self.ledger
         swap2 = self.swap2
         source = self.source if spur_source is None else spur_source
         destination = self.destination
-        endpoint_banned = (
-            source in banned_nodes or destination in banned_nodes
+        if source in banned_nodes or destination in banned_nodes:
+            return {width: None for width in self.widths}
+        banned_node_idx, banned_edge_ids = snapshot._resolve_bans(
+            banned_nodes, banned_edges
         )
         index_of = snapshot.index_of
-        if banned_nodes:
-            banned_node_idx = frozenset(
-                index_of[x] for x in banned_nodes if x in index_of
-            )
-        else:
-            banned_node_idx = _EMPTY
-        if banned_edges:
-            edge_index = snapshot.edge_index
-            banned_edge_ids = frozenset(
-                edge_index[e] for e in banned_edges if e in edge_index
-            )
-        else:
-            banned_edge_ids = _EMPTY
         src_idx = index_of[source]
         dst_idx = index_of[destination]
-        memo = snapshot._search_memo
+        endpoint_feasible = snapshot.endpoint_feasible
         results: Dict[int, Optional[Tuple[Tuple[int, ...], float]]] = {}
-        pending: List[tuple] = []
-        for width in widths:
-            if endpoint_banned:
-                results[width] = None
-                continue
-            if not snapshot.endpoint_feasible(ledger, source, width):
-                results[width] = None
-                continue
-            if not snapshot.endpoint_feasible(ledger, destination, width):
-                results[width] = None
-                continue
-            flags, version = snapshot.relay_state(ledger, width)
-            key = (
-                src_idx,
-                dst_idx,
-                width,
-                version,
-                swap2,
-                banned_node_idx,
-                banned_edge_ids,
-            )
-            hit = memo.get(key, _MISS)
-            if hit is not _MISS:
-                results[width] = hit
-                continue
-            masked_np, masked_list = snapshot._masked_row_rates(
-                width, flags, version, dst_idx, banned_edge_ids
-            )
-            pending.append(
-                (
-                    width,
-                    key,
-                    masked_np,
-                    masked_list,
-                    snapshot._flags_list(flags, version),
+        for width in self.widths:
+            if endpoint_feasible(
+                ledger, source, width
+            ) and endpoint_feasible(ledger, destination, width):
+                results[width] = snapshot._memo_search(
+                    src_idx, dst_idx, width, swap2, ledger,
+                    banned_node_idx, banned_edge_ids,
                 )
-            )
-        if not pending:
-            return results
-        banned_sorted = sorted(banned_node_idx)
-        node_ids = snapshot.node_ids
-        if len(pending) == 1:
-            # One miss left: the single-width kernel is the same search
-            # without the flattened-matrix overhead.
-            width, key, masked_np, masked_list, flags_list = pending[0]
-            founds = [
-                snapshot._kernel(
-                    src_idx, dst_idx, masked_np, masked_list, flags_list,
-                    swap2, banned_sorted,
-                )
-            ]
-        else:
-            founds = snapshot._kernel_multi(
-                src_idx,
-                dst_idx,
-                [entry[2] for entry in pending],
-                [entry[3] for entry in pending],
-                [entry[4] for entry in pending],
-                swap2,
-                banned_sorted,
-            )
-        for entry, found in zip(pending, founds):
-            width, key = entry[0], entry[1]
-            if found is None:
-                result = None
             else:
-                result = (tuple(node_ids[i] for i in found[0]), found[1])
-            if len(memo) >= _SEARCH_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = result
-            results[width] = result
+                results[width] = None
         return results
 
 

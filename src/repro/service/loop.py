@@ -12,10 +12,9 @@ arrival:
     and channel-rate cache, so each arrival re-plans against O(changes)
     of incremental state — the ledger's feasibility journal patches the
     compiled core's cached relay flags instead of rebuilding them, and
-    each arrival's width sweep runs through the compiled core's fused
-    multi-width Dijkstra pass (one shared frontier per
-    ``search_widths`` batch), so per-arrival latency benefits from the
-    same kernel batching as the offline sweeps.
+    each arrival's width sweep runs as one ``search_widths`` batch over
+    the session's snapshot and search memo, so per-arrival latency
+    benefits from the same batching as the offline sweeps.
 
 ``resnapshot``
     Rebuilds a residual-capacity copy of the network per arrival and

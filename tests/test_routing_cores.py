@@ -20,17 +20,16 @@ from repro.experiments.scenarios import parse_scenario
 from repro.network import CompiledNetwork, compile_network
 from repro.network.builder import build_network
 from repro.network.demands import Demand, generate_demands
+from repro.network.graph import QuantumNetwork
+from repro.network.node import QuantumSwitch, QuantumUser
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
 from repro.routing.alg2_path_selection import default_max_width, select_paths
 from repro.routing.allocation import QubitLedger
 from repro.routing.compiled import (
-    FUSED_WIDTH_MIN_DEFAULT,
-    FUSED_WIDTH_MIN_ENV,
     ROUTING_CORE_ENV,
     WidthSearchBatch,
     active_routing_core,
-    fused_width_min,
     search_widths,
     snapshot_for,
 )
@@ -38,6 +37,7 @@ from repro.exceptions import RoutingError
 from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.metrics import ChannelRateCache
 from repro.routing.registry import make_router, router_keys
+from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
 
 LINK = LinkModel(fixed_p=0.4)
@@ -228,14 +228,46 @@ def test_alg2_parity_max_hops(line_network):
 # Equation 1 parity
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS[:2])
-def test_equation1_parity_with_extra_width_probes(scenario):
-    network, demands = _instance(scenario, SEEDS[0])
+def _wide_flow(num_relays=64):
+    """A source->destination flow fanning out over *num_relays* disjoint
+    2-hop paths (``2 * num_relays`` edges, mixed widths) — far wider than
+    any flow the routers admit on the parity scenarios."""
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(2000.0, 0.0)))
+    flow = FlowLikeGraph(0, 0, 1)
+    for i in range(num_relays):
+        relay = 2 + i
+        network.add_node(
+            QuantumSwitch(relay, Point(1000.0, 40.0 * i), 10)
+        )
+        network.add_edge(0, relay)
+        network.add_edge(relay, 1)
+        flow.add_path((0, relay, 1), width=1 + i % 3)
+    return network, [flow]
+
+
+def _equation1_inputs(name):
+    """``(network, flows)`` for one Equation-1 parity input."""
+    if name == "wide-fanout-128-edges":
+        return _wide_flow()
+    network, demands = _instance(name, SEEDS[0])
     with routing_core("compiled"):
         result = make_router("alg-n-fusion").route(network, demands, LINK, SWAP)
+    return network, result.plan.flows()
+
+
+@pytest.mark.parametrize(
+    "name", SCENARIOS[:2] + ("wide-fanout-128-edges",)
+)
+def test_equation1_parity_with_extra_width_probes(name):
+    network, flows = _equation1_inputs(name)
     cache = ChannelRateCache(network, LINK)
+    # Attach the snapshot, as routers do: the compiled walk then reads
+    # user flags from it.
+    snapshot_for(network, LINK, cache)
     arity_swap = SwapModel(q=0.9, per_qubit=True)  # arity-sensitive
-    for flow in result.plan.flows():
+    for flow in flows:
         probes = [None] + [{edge: 1} for edge in flow.edges()]
         if len(flow.edges()) >= 2:
             probes.append({edge: 2 for edge in flow.edges()[:2]})
@@ -406,12 +438,12 @@ def test_relay_feasibility_journal_parity():
 # Batched width search (the kernel-facing API)
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS[:2])
+@pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_search_matches_reference_per_width(scenario, seed):
     """``search_widths`` answers every width exactly as the reference
-    core's per-width Algorithm 1 — including banned sets and a partially
-    consumed ledger."""
+    core's per-width Algorithm 1 — across topology families, banned
+    sets, a partially consumed ledger and a width gap (4 is skipped)."""
     network, demands = _instance(scenario, seed)
     rng = ensure_rng(seed + 2)
     switches = network.switches()
@@ -420,7 +452,7 @@ def test_batched_search_matches_reference_per_width(scenario, seed):
     for node in switches[::3]:
         ledger.reserve(node, min(2, int(ledger.remaining(node))))
     snapshot = snapshot_for(network, LINK, None)
-    widths = (1, 2, 3)
+    widths = (1, 2, 3, 5)
     for trial in range(8):
         demand = demands[trial % len(demands)]
         banned_nodes = frozenset(
@@ -460,6 +492,32 @@ def test_batched_search_drained_ledger(diamond_network):
     ) == {1: None}
 
 
+def test_batch_memo_keys_share_one_resolved_ban_set():
+    """A sweep resolves its banned sets once: every memo key it writes
+    holds the same node and edge frozensets (by identity), so a batch
+    stores one copy of the bans however many widths miss the memo."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    snapshot = compile_network(network, LINK)
+    demand = demands[0]
+    switches = [
+        s for s in network.switches()
+        if s not in (demand.source, demand.destination)
+    ]
+    batch = WidthSearchBatch(
+        snapshot, SWAP, demand.source, demand.destination, (1, 2, 3, 5)
+    )
+    batch.search_widths(
+        banned_nodes=frozenset(switches[:2]),
+        banned_edges=frozenset(network.edge_keys()[:3]),
+    )
+    keys = list(snapshot._search_memo)
+    assert len(keys) == 4
+    # Key layout: (src, dst, width, version, swap, nodes, edges).
+    assert all(key[5] and key[6] for key in keys)
+    assert len({id(key[5]) for key in keys}) == 1
+    assert len({id(key[6]) for key in keys}) == 1
+
+
 def test_batch_matches_its_own_single_width_searches():
     network, demands = _instance(SCENARIOS[1], SEEDS[0])
     ledger = QubitLedger(network)
@@ -473,29 +531,13 @@ def test_batch_matches_its_own_single_width_searches():
         assert swept[width] == batch.search(width)
 
 
-def test_batch_rejects_invalid_construction(diamond_network):
-    snapshot = snapshot_for(diamond_network, LINK, None)
-    with pytest.raises(RoutingError, match="must differ"):
-        WidthSearchBatch(snapshot, SWAP, 0, 0, (1,))
-    with pytest.raises(RoutingError, match="must exist"):
-        WidthSearchBatch(snapshot, SWAP, 0, 99, (1,))
-    with pytest.raises(RoutingError, match="width"):
-        WidthSearchBatch(snapshot, SWAP, 0, 1, (1, 0))
-
-
-# ----------------------------------------------------------------------
-# Fused multi-width frontier (one Dijkstra pass for a whole batch)
-
-
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fused_frontier_matches_per_width_standalone(
-    scenario, seed, monkeypatch
-):
-    """The fused multi-width pass answers exactly like per-width scalar
-    searches — across topologies, seeds, banned node/edge sets and a
-    partially consumed ledger.  Fresh snapshots on each side keep the
-    search memo from masking a kernel divergence."""
+def test_fused_frontier_matches_per_width_standalone(scenario, seed):
+    """The one-pass sweep over a batch's widths answers exactly like
+    standalone per-width searches — across topologies, seeds, banned
+    node/edge sets and a partially consumed ledger.  Fresh snapshots on
+    each side keep the search memo from masking a kernel divergence."""
     network, demands = _instance(scenario, seed)
     rng = ensure_rng(seed + 5)
     switches = network.switches()
@@ -503,8 +545,8 @@ def test_fused_frontier_matches_per_width_standalone(
     ledger = QubitLedger(network)
     for node in switches[::4]:
         ledger.reserve(node, min(2, int(ledger.remaining(node))))
-    fused_snapshot = compile_network(network, LINK)
-    scalar_snapshot = compile_network(network, LINK)
+    swept_snapshot = compile_network(network, LINK)
+    standalone_snapshot = compile_network(network, LINK)
     widths = (1, 2, 3, 5)
     for trial in range(6):
         demand = demands[trial % len(demands)]
@@ -513,74 +555,45 @@ def test_fused_frontier_matches_per_width_standalone(
         )
         picked = rng.choice(len(edges), size=3, replace=False)
         banned_edges = frozenset(edges[int(i)] for i in picked)
-        monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
-        fused = WidthSearchBatch(
-            fused_snapshot, SWAP, demand.source, demand.destination,
+        swept = WidthSearchBatch(
+            swept_snapshot, SWAP, demand.source, demand.destination,
             widths, ledger,
         ).search_widths(
             banned_nodes=banned_nodes, banned_edges=banned_edges
         )
-        # Force the scalar per-width fallback: the parity oracle.
-        monkeypatch.setenv(FUSED_WIDTH_MIN_ENV, "999")
-        scalar = WidthSearchBatch(
-            scalar_snapshot, SWAP, demand.source, demand.destination,
+        standalone = WidthSearchBatch(
+            standalone_snapshot, SWAP, demand.source, demand.destination,
             widths, ledger,
-        ).search_widths(
-            banned_nodes=banned_nodes, banned_edges=banned_edges
         )
-        assert fused == scalar
+        assert swept == {
+            width: standalone.search(
+                width, banned_nodes=banned_nodes, banned_edges=banned_edges
+            )
+            for width in widths
+        }
 
 
-def test_fused_frontier_engages_at_the_width_threshold(
-    diamond_network, monkeypatch
-):
-    """Batches below ``fused_width_min()`` never enter the fused kernel
-    (a width-count-1 batch stays on the scalar path); batches at or
-    above it do."""
-    monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
-    calls = []
-    original = CompiledNetwork._kernel_multi
-    monkeypatch.setattr(
-        CompiledNetwork,
-        "_kernel_multi",
-        lambda self, *args: calls.append(1) or original(self, *args),
-    )
-    snapshot = compile_network(diamond_network, LINK)
-    single = WidthSearchBatch(snapshot, SWAP, 0, 1, (2,), None)
-    assert single.search_widths() == {2: single.search(2)}
-    assert not calls  # one width: scalar fallback, no fused pass
-    pair = WidthSearchBatch(
-        compile_network(diamond_network, LINK), SWAP, 0, 1, (1, 2), None
-    )
-    swept = pair.search_widths()
-    assert calls  # two widths >= the default threshold: fused pass
-    assert swept == {1: pair.search(1), 2: pair.search(2)}
-
-
-def test_fused_frontier_drained_relays(diamond_network, monkeypatch):
-    """Feasible endpoints but drained relay switches: the fused pass
-    itself (not the endpoint short-circuit) must report no path, like
-    the scalar searches."""
-    monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
+def test_fused_frontier_drained_relays(diamond_network):
+    """Feasible endpoints but drained relay switches: the kernel itself
+    (not the endpoint short-circuit) must report no path, and the memo
+    records that answer for every width of the sweep."""
     ledger = QubitLedger(diamond_network)
     for node in (2, 3, 4, 5):
         ledger.reserve(node, int(ledger.remaining(node)))
     snapshot = compile_network(diamond_network, LINK)
-    batch = WidthSearchBatch(
-        snapshot, SWAP, 0, 1, (1, 2, 3), ledger
-    )
+    batch = WidthSearchBatch(snapshot, SWAP, 0, 1, (1, 2, 3), ledger)
     assert batch.search_widths() == {1: None, 2: None, 3: None}
+    assert list(snapshot._search_memo.values()) == [None] * 3
 
 
-def test_fused_width_min_knob(monkeypatch):
-    monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
-    assert fused_width_min() == FUSED_WIDTH_MIN_DEFAULT
-    monkeypatch.setenv(FUSED_WIDTH_MIN_ENV, "5")
-    assert fused_width_min() == 5
-    for bad in ("abc", "1", "0", "-3", "2.5"):
-        monkeypatch.setenv(FUSED_WIDTH_MIN_ENV, bad)
-        with pytest.raises(ConfigurationError, match=FUSED_WIDTH_MIN_ENV):
-            fused_width_min()
+def test_batch_rejects_invalid_construction(diamond_network):
+    snapshot = snapshot_for(diamond_network, LINK, None)
+    with pytest.raises(RoutingError, match="must differ"):
+        WidthSearchBatch(snapshot, SWAP, 0, 0, (1,))
+    with pytest.raises(RoutingError, match="must exist"):
+        WidthSearchBatch(snapshot, SWAP, 0, 99, (1,))
+    with pytest.raises(RoutingError, match="width"):
+        WidthSearchBatch(snapshot, SWAP, 0, 1, (1, 0))
 
 
 # ----------------------------------------------------------------------
