@@ -69,7 +69,6 @@ from repro.routing import (
     MCFRouter,
     MultipartiteDemand,
     MultipartiteRouter,
-    OnlineScheduler,
     QCastNRouter,
     QCastRouter,
     Router,
@@ -142,7 +141,6 @@ __all__ = [
     "router_keys",
     "MultipartiteDemand",
     "MultipartiteRouter",
-    "OnlineScheduler",
     "render_plan_report",
     "RoutingPlan",
     "RoutingResult",

@@ -58,7 +58,6 @@ from repro.routing.registry import (
     router_keys,
 )
 from repro.routing.report import render_plan_report
-from repro.routing.scheduler import OnlineScheduler, ScheduleResult
 from repro.routing.multipartite import (
     MultipartiteDemand,
     MultipartiteRouter,
@@ -102,8 +101,6 @@ __all__ = [
     "router_class",
     "router_keys",
     "render_plan_report",
-    "OnlineScheduler",
-    "ScheduleResult",
     "MultipartiteDemand",
     "MultipartiteRouter",
     "StarRoute",

@@ -11,13 +11,13 @@ Two admission policies are provided:
   unspecified, and the literal sweep lets early wide paths starve later
   demands; efficiency admission preserves all four of the paper's stated
   preferences (shorter, wider, merged, n-fused) while spending the qubit
-  budget where it buys the most entanglement rate.  DESIGN.md records this
-  as an implementation decision and the ablation bench compares both.
+  budget where it buys the most entanglement rate.  The README lists this
+  under "Implementation decisions" and the ablation bench compares both.
 
 In both policies a path is admitted only when every edge is either already
 part of the same demand's flow-like graph (the new path is a branch; the
-shared edge's qubits are reused and not charged again) or fundable from
-both endpoints' free qubits.  Merges that would make the flow orientation
+shared edge's qubits are reused, and only widening it is charged) or
+fundable from both endpoints' free qubits.  Merges that would make the flow orientation
 cyclic are rejected (Equation 1 requires an acyclic flow).
 """
 
@@ -86,8 +86,8 @@ def admit_paths(
         ]
         candidates.sort(key=lambda c: (-c.rate, c.demand_id, c.nodes))
         for candidate in candidates:
-            if _try_admit(network, demand_by_id[candidate.demand_id],
-                          candidate, flows, ledger):
+            if try_admit(network, demand_by_id[candidate.demand_id],
+                         candidate, flows, ledger):
                 admitted += 1
     return admitted
 
@@ -165,7 +165,7 @@ def admit_paths_efficiency(
         best_efficiency = 0.0
         best_gain = 0.0
         keep: List[int] = []
-        # The ledger mutates only between scans (_try_admit below), so
+        # The ledger mutates only between scans (try_admit below), so
         # one token — and one lazily-built changed-node set per distinct
         # cached journal length — serves the whole scan.
         epoch, journal_length = ledger.feasibility_token()
@@ -242,8 +242,8 @@ def admit_paths_efficiency(
             break
         candidate = pool[best_index]
         active.remove(best_index)
-        if _try_admit(network, demand_by_id[candidate.demand_id], candidate,
-                      flows, ledger):
+        if try_admit(network, demand_by_id[candidate.demand_id], candidate,
+                     flows, ledger):
             admitted += 1
             demand_id = candidate.demand_id
             base_rates.pop(demand_id, None)
@@ -338,14 +338,22 @@ def _edge_charges(
     return charges
 
 
-def _try_admit(
+def try_admit(
     network: QuantumNetwork,
     demand: Demand,
     candidate: PathCandidate,
     flows: Dict[int, FlowLikeGraph],
     ledger: QubitLedger,
 ) -> bool:
-    """Admit one candidate path if resources (or shared edges) allow."""
+    """Admit one candidate path if resources (or shared edges) allow.
+
+    Charges the ledger through :func:`_edge_charges` — full width on new
+    edges, the upgrade delta on shared ones — and merges the path into
+    the demand's flow in *flows*.  On a capacity shortfall or a cyclic
+    merge the ledger is restored and the flow left as it was.  ALG-N-
+    FUSION's admission sweeps and the MCF baseline both admit through
+    here.
+    """
     flow = flows.get(demand.demand_id)
     snapshot = ledger.snapshot()
     try:

@@ -12,7 +12,7 @@ flow-like graph built from at most two paths of width at most two on the
 What B1 lacks relative to ALG-N-FUSION — and what the evaluation isolates:
 no cross-demand coordination (demands are served in arrival order rather
 than widest/best first), no arity beyond 4, and no residual-qubit pass.
-This substitution is documented in DESIGN.md.
+This substitution is listed under "Implementation decisions" in the README.
 """
 
 from __future__ import annotations
@@ -116,13 +116,7 @@ class B1Router:
             if flow is not None:
                 plan.add_flow(flow)
 
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
-        )
-        return RoutingResult(
-            algorithm=self.name,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
+        return RoutingResult.from_plan(
+            self.name, plan, ledger, network, link_model, swap_model,
+            rate_cache,
         )

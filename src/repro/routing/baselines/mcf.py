@@ -15,9 +15,12 @@ to the paper's model as an additional comparator:
   ``-log(p_e * q)``, the LP surrogate for the multiplicative rate metric.
 
 The fractional solution is decomposed into at most ``max_paths`` paths
-per demand (greedy max-bottleneck extraction) and admitted through the
-same ledger/flow-graph machinery as every other router, so the reported
-entanglement rate is computed by the identical Equation 1 code path.
+per demand (greedy max-bottleneck extraction), and each path is admitted
+through Algorithm 3's :func:`~repro.routing.alg3_merge.try_admit`, the
+same ledger admission ALG-N-FUSION uses: a path that widens an edge the
+demand's flow already holds is charged the extra qubits, so a plan never
+exceeds a switch's capacity.  The reported entanglement rate is computed
+by the identical Equation 1 code path.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from repro.exceptions import RoutingError
 from repro.network.demands import Demand, DemandSet
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
+from repro.routing.alg3_merge import try_admit
 from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
-from repro.routing.metrics import ChannelRateCache
+from repro.routing.metrics import ChannelRateCache, path_entanglement_rate
 from repro.routing.nfusion import RoutingResult
+from repro.routing.paths import PathCandidate
 from repro.routing.plan import RoutingPlan
 from repro.routing.registry import register_router
 
@@ -111,29 +116,24 @@ class MCFRouter:
         )
 
         ledger = QubitLedger(network)
-        plan = RoutingPlan()
+        rate_cache = ChannelRateCache(network, link_model)
+        flows: Dict[int, FlowLikeGraph] = {}
         for d, demand in enumerate(demand_list):
             arc_flow = {
                 arc: float(flows_vector[var(d, arc)])
                 for arc in arcs
                 if flows_vector[var(d, arc)] > 1e-6
             }
-            flow_graph = self._decompose_and_admit(
-                network, demand, arc_flow, ledger
+            self._decompose_and_admit(
+                network, link_model, swap_model, demand, arc_flow, flows,
+                ledger, rate_cache,
             )
-            if flow_graph is not None:
-                plan.add_flow(flow_graph)
-
-        rate_cache = ChannelRateCache(network, link_model)
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
-        )
-        return RoutingResult(
-            algorithm=self.name,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
+        plan = RoutingPlan()
+        for flow in flows.values():
+            plan.add_flow(flow)
+        return RoutingResult.from_plan(
+            self.name, plan, ledger, network, link_model, swap_model,
+            rate_cache,
         )
 
     # ------------------------------------------------------------------
@@ -232,12 +232,17 @@ class MCFRouter:
     def _decompose_and_admit(
         self,
         network: QuantumNetwork,
+        link_model: LinkModel,
+        swap_model: SwapModel,
         demand: Demand,
         arc_flow: Dict[Arc, float],
+        flows: Dict[int, FlowLikeGraph],
         ledger: QubitLedger,
-    ) -> Optional[FlowLikeGraph]:
-        """Greedy max-bottleneck path extraction + ledger admission."""
-        flow_graph: Optional[FlowLikeGraph] = None
+        rate_cache: ChannelRateCache,
+    ) -> None:
+        """Greedy max-bottleneck path extraction; each path is admitted
+        into *flows* through Algorithm 3's :func:`try_admit`, which
+        charges *ledger* for new edges and for widening shared ones."""
         remaining = dict(arc_flow)
         for _ in range(self.max_paths):
             path = self._extract_path(network, demand, remaining)
@@ -251,26 +256,15 @@ class MCFRouter:
                 remaining[(a, b)] -= bottleneck
                 if remaining[(a, b)] <= 1e-6:
                     del remaining[(a, b)]
-            candidate = flow_graph.copy() if flow_graph else FlowLikeGraph(
-                demand.demand_id, demand.source, demand.destination
+            nodes = tuple(path)
+            rate = path_entanglement_rate(
+                network, link_model, swap_model, nodes, width, rate_cache
             )
-            new_edges = [
-                (min(a, b), max(a, b))
-                for a, b in zip(path, path[1:])
-                if not candidate.contains_edge(a, b)
-            ]
-            snapshot = ledger.snapshot()
-            feasible = True
-            try:
-                for u, v in new_edges:
-                    ledger.reserve_edge(u, v, width)
-                candidate.add_path(tuple(path), width)
-            except Exception:
-                ledger.restore(snapshot)
-                feasible = False
-            if feasible:
-                flow_graph = candidate
-        return flow_graph
+            try_admit(
+                network, demand,
+                PathCandidate(demand.demand_id, nodes, width, rate),
+                flows, ledger,
+            )
 
     def _extract_path(
         self,

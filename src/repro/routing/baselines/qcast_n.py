@@ -8,6 +8,9 @@ demand, over all widths for the (path, width) pair with the best n-fusion
 rate, admits the globally best pair, charges qubits, and repeats.  Paths
 are never merged into flow-like graphs and leftovers are not re-spent —
 those are the two ALG-N-FUSION innovations this baseline lacks.
+
+The greedy loop, :func:`greedy_single_paths`, also serves Q-CAST, which
+is this router restricted to width 1.
 """
 
 from __future__ import annotations
@@ -28,6 +31,60 @@ from repro.routing.plan import RoutingPlan
 from repro.routing.registry import register_router
 
 
+def greedy_single_paths(
+    algorithm: str,
+    network: QuantumNetwork,
+    demands: DemandSet,
+    link_model: LinkModel,
+    swap_model: SwapModel,
+    max_width: int,
+) -> RoutingResult:
+    """Route every demand over one uniform-width path, greedily.
+
+    Each round searches every still-unrouted demand at every width from
+    *max_width* down to 1, admits the (path, width) pair with the largest
+    entanglement rate, charges its qubits, and repeats until no demand
+    has a feasible path.
+    """
+    ledger = QubitLedger(network)
+    plan = RoutingPlan()
+    rate_cache = ChannelRateCache(network, link_model)
+    unrouted: Dict[int, Demand] = {d.demand_id: d for d in demands}
+
+    while unrouted:
+        best: Optional[Tuple[float, int, int, Tuple[int, ...]]] = None
+        for demand in unrouted.values():
+            for width in range(max_width, 0, -1):
+                found = largest_entanglement_rate_path(
+                    network,
+                    link_model,
+                    swap_model,
+                    demand.source,
+                    demand.destination,
+                    width=width,
+                    ledger=ledger,
+                    rate_cache=rate_cache,
+                )
+                if found is None:
+                    continue
+                nodes, rate = found
+                if best is None or rate > best[0]:
+                    best = (rate, demand.demand_id, width, nodes)
+        if best is None:
+            break
+        _, demand_id, width, nodes = best
+        demand = unrouted.pop(demand_id)
+        for a, b in zip(nodes, nodes[1:]):
+            ledger.reserve_edge(a, b, width)
+        flow = FlowLikeGraph(demand_id, demand.source, demand.destination)
+        flow.add_path(nodes, width=width)
+        plan.add_flow(flow)
+
+    return RoutingResult.from_plan(
+        algorithm, plan, ledger, network, link_model, swap_model, rate_cache
+    )
+
+
 @register_router("q-cast-n", aliases=("qcast-n",))
 @dataclass
 class QCastNRouter:
@@ -44,50 +101,8 @@ class QCastNRouter:
         swap_model: Optional[SwapModel] = None,
     ) -> RoutingResult:
         """Route every demand over its best uniform-width path, greedily."""
-        link_model = link_model or LinkModel()
-        swap_model = swap_model or SwapModel()
-        max_width = self.max_width or default_max_width(network)
-        ledger = QubitLedger(network)
-        plan = RoutingPlan()
-        rate_cache = ChannelRateCache(network, link_model)
-        unrouted: Dict[int, Demand] = {d.demand_id: d for d in demands}
-
-        while unrouted:
-            best: Optional[Tuple[float, int, int, Tuple[int, ...]]] = None
-            for demand in unrouted.values():
-                for width in range(max_width, 0, -1):
-                    found = largest_entanglement_rate_path(
-                        network,
-                        link_model,
-                        swap_model,
-                        demand.source,
-                        demand.destination,
-                        width=width,
-                        ledger=ledger,
-                        rate_cache=rate_cache,
-                    )
-                    if found is None:
-                        continue
-                    nodes, rate = found
-                    if best is None or rate > best[0]:
-                        best = (rate, demand.demand_id, width, nodes)
-            if best is None:
-                break
-            _, demand_id, width, nodes = best
-            demand = unrouted.pop(demand_id)
-            for a, b in zip(nodes, nodes[1:]):
-                ledger.reserve_edge(a, b, width)
-            flow = FlowLikeGraph(demand_id, demand.source, demand.destination)
-            flow.add_path(nodes, width=width)
-            plan.add_flow(flow)
-
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
-        )
-        return RoutingResult(
-            algorithm=self.name,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
+        return greedy_single_paths(
+            self.name, network, demands, link_model or LinkModel(),
+            swap_model or SwapModel(),
+            self.max_width or default_max_width(network),
         )

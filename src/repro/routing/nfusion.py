@@ -14,8 +14,8 @@ Composes the three steps of Section IV-C:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.network.demands import DemandSet
 from repro.network.graph import QuantumNetwork
@@ -58,6 +58,30 @@ class RoutingResult:
     def num_routed(self) -> int:
         """Number of demands that received a route."""
         return len(self.demand_rates)
+
+    @classmethod
+    def from_plan(
+        cls,
+        algorithm: str,
+        plan: RoutingPlan,
+        ledger: QubitLedger,
+        network: QuantumNetwork,
+        link_model: LinkModel,
+        swap_model: SwapModel,
+        rate_cache: ChannelRateCache,
+    ) -> "RoutingResult":
+        """The result of a finished *plan* whose charges are in *ledger*:
+        per-demand Equation-1 rates, their sum and the free qubits."""
+        demand_rates = plan.demand_rates(
+            network, link_model, swap_model, rate_cache
+        )
+        return cls(
+            algorithm=algorithm,
+            plan=plan,
+            total_rate=sum(demand_rates.values()),
+            demand_rates=demand_rates,
+            remaining_qubits=ledger.total_free_switch_qubits(),
+        )
 
 
 @register_router("alg-n-fusion", aliases=("nfusion", "alg-n"))
@@ -122,100 +146,11 @@ class AlgNFusion:
     ) -> RoutingResult:
         """Compute routes for *demands* and return the analytic result."""
         link_model = link_model or LinkModel()
-        swap_model = swap_model or SwapModel()
-        max_width = self.max_width or default_max_width(network)
-        # One memoised channel-rate table for the whole routing call:
-        # Step I, every refill sweep and every demand share it.
-        rate_cache = ChannelRateCache(network, link_model)
-
-        # Step I: candidate path sets (full capacities; reuse allowed).
-        path_sets = {
-            demand.demand_id: select_paths(
-                network,
-                link_model,
-                swap_model,
-                demand,
-                h=self.h,
-                max_width=max_width,
-                max_hops=self.max_hops,
-                rate_cache=rate_cache,
-            )
-            for demand in demands
-        }
-
-        # Step II: admission + merging against the real qubit budget.
-        ledger = QubitLedger(network)
-        flows: Dict[int, FlowLikeGraph] = {}
-        self._admit(network, link_model, swap_model, demands, path_sets,
-                    flows, ledger, rate_cache)
-
-        # Refill sweeps: candidates from Step I were selected against full
-        # capacities, so contention can block them at admission time even
-        # while qubits remain elsewhere.  Each refill round re-selects
-        # paths against the *residual* ledger — for every demand, since a
-        # residual path can serve an unrouted demand or merge into an
-        # existing flow as an extra branch — and runs the same admission
-        # policy.  This keeps ALG-N-FUSION a strict superset of the
-        # baselines (implementation note in DESIGN.md; the paper's
-        # Algorithm 3 leaves the contention-blocked case unspecified).
-        for _ in range(self.refill_rounds):
-            refill_sets = {}
-            for demand in demands:
-                selected = select_paths(
-                    network,
-                    link_model,
-                    swap_model,
-                    demand,
-                    h=self.h,
-                    max_width=max_width,
-                    ledger=ledger,
-                    max_hops=self.max_hops,
-                    rate_cache=rate_cache,
-                )
-                if selected:
-                    refill_sets[demand.demand_id] = selected
-            if not refill_sets:
-                break
-            if self._admit(network, link_model, swap_model, demands,
-                           refill_sets, flows, ledger, rate_cache) == 0:
-                break
-
-        plan = RoutingPlan()
-        for flow in flows.values():
-            plan.add_flow(flow)
-
-        # Step III: spend the leftovers.
-        if self.include_alg4:
-            assign_remaining_qubits(
-                network, link_model, swap_model, plan, ledger,
-                rate_cache=rate_cache,
-            )
-
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
+        return self._plan(
+            network, demands, link_model, swap_model or SwapModel(),
+            QubitLedger(network), ChannelRateCache(network, link_model),
+            frozenset(), frozenset(),
         )
-        return RoutingResult(
-            algorithm=self.algorithm_label,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
-        )
-
-    @staticmethod
-    def _residual_max_width(network: QuantumNetwork,
-                            ledger: QubitLedger) -> int:
-        """``default_max_width`` computed from the ledger's remaining
-        counts — what ``default_max_width`` would report on a network
-        whose switch capacities are the residual."""
-        capacities = [
-            int(ledger.remaining(s))
-            for s in network.switches()
-            if network.qubit_capacity(s) is not None
-        ]
-        if not capacities:
-            return 1
-        return max(1, max(capacities) // 2)
 
     def route_online(
         self,
@@ -236,86 +171,89 @@ class AlgNFusion:
         sets) — decision-identical to routing on a residual view from
         which those elements were removed.
 
-        The serving loop's incremental re-planning interface.  Decision-
-        identical to :meth:`route` on a network whose switch capacities
-        are the ledger's remaining counts (same candidate search — the
-        residual view's "full capacities" *are* the ledger — admission
-        policy, refill sweeps and, when enabled, Algorithm 4), so the
-        ``incremental`` and ``resnapshot`` serving modes produce the
-        same flows and rates bit-for-bit.  The difference is cost: the
-        session-long *rate_cache* (with the compiled snapshot and
-        journal-patched relay-feasibility flags hanging off it) carries
-        over between arrivals instead of being rebuilt per arrival.
+        The serving loop's incremental re-planning interface.  It runs
+        the same pipeline as :meth:`route`, only over the caller's
+        ledger, so it is decision-identical to :meth:`route` on a
+        network whose switch capacities are the ledger's remaining
+        counts, and the ``incremental`` and ``resnapshot`` serving
+        modes produce the same flows and rates bit-for-bit.  The
+        difference is cost: the session-long *rate_cache* (with the
+        compiled snapshot and journal-patched relay-feasibility flags
+        hanging off it) carries over between arrivals instead of being
+        rebuilt per arrival.
 
         Admitted qubits stay reserved in *ledger* when this returns;
         releasing them when the flow departs is the caller's job.
         """
         link_model = link_model or LinkModel()
-        swap_model = swap_model or SwapModel()
-        max_width = self.max_width or self._residual_max_width(
-            network, ledger
-        )
         if rate_cache is None:
             rate_cache = ChannelRateCache(network, link_model)
-        demands = DemandSet([demand])
+        return self._plan(
+            network, DemandSet([demand]), link_model,
+            swap_model or SwapModel(), ledger, rate_cache, banned_nodes,
+            banned_edges,
+        )
 
-        path_sets = {
-            demand.demand_id: select_paths(
-                network,
-                link_model,
-                swap_model,
-                demand,
-                h=self.h,
-                max_width=max_width,
-                ledger=ledger,
-                max_hops=self.max_hops,
-                rate_cache=rate_cache,
-                banned_nodes=banned_nodes,
-                banned_edges=banned_edges,
-            )
-        }
+    def _plan(
+        self,
+        network: QuantumNetwork,
+        demands: DemandSet,
+        link_model: LinkModel,
+        swap_model: SwapModel,
+        ledger: QubitLedger,
+        rate_cache: ChannelRateCache,
+        banned_nodes: FrozenSet[int],
+        banned_edges: FrozenSet[Tuple[int, int]],
+    ) -> RoutingResult:
+        """Steps I-III over *ledger*; one memoised *rate_cache* serves
+        every search, admission sweep and rate evaluation."""
+        max_width = self.max_width or default_max_width(network, ledger)
         flows: Dict[int, FlowLikeGraph] = {}
-        self._admit(network, link_model, swap_model, demands, path_sets,
-                    flows, ledger, rate_cache)
-
-        for _ in range(self.refill_rounds):
-            selected = select_paths(
-                network,
-                link_model,
-                swap_model,
-                demand,
-                h=self.h,
-                max_width=max_width,
-                ledger=ledger,
-                max_hops=self.max_hops,
-                rate_cache=rate_cache,
-                banned_nodes=banned_nodes,
-                banned_edges=banned_edges,
-            )
-            if not selected:
+        # Step I selects candidate paths against the ledger as it stands
+        # (reuse across candidates allowed) and Step II admits them.
+        # Candidates can then be blocked by contention while qubits
+        # remain elsewhere, so each refill round re-selects paths for
+        # every demand against the *residual* ledger — a residual path
+        # can serve an unrouted demand or merge into an existing flow
+        # as an extra branch — and runs the same admission policy.
+        # This keeps ALG-N-FUSION a strict superset of the baselines
+        # (see "Implementation decisions" in the README; the paper's
+        # Algorithm 3 leaves the contention-blocked case unspecified).
+        for _ in range(1 + self.refill_rounds):
+            path_sets = {}
+            for demand in demands:
+                selected = select_paths(
+                    network,
+                    link_model,
+                    swap_model,
+                    demand,
+                    h=self.h,
+                    max_width=max_width,
+                    ledger=ledger,
+                    max_hops=self.max_hops,
+                    rate_cache=rate_cache,
+                    banned_nodes=banned_nodes,
+                    banned_edges=banned_edges,
+                )
+                if selected:
+                    path_sets[demand.demand_id] = selected
+            if not path_sets:
                 break
             if self._admit(network, link_model, swap_model, demands,
-                           {demand.demand_id: selected}, flows, ledger,
-                           rate_cache) == 0:
+                           path_sets, flows, ledger, rate_cache) == 0:
                 break
 
         plan = RoutingPlan()
         for flow in flows.values():
             plan.add_flow(flow)
 
+        # Step III: spend the leftovers.
         if self.include_alg4:
             assign_remaining_qubits(
                 network, link_model, swap_model, plan, ledger,
                 rate_cache=rate_cache,
             )
-
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
-        )
-        return RoutingResult(
-            algorithm=self.algorithm_label,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
+        return RoutingResult.from_plan(
+            self.algorithm_label, plan, ledger, network, link_model,
+            swap_model, rate_cache,
         )

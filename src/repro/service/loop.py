@@ -36,9 +36,13 @@ backoff schedule, degrading to a counted drop when the budget runs out.
 Repair never raises out of the loop: a routing failure is a failed
 attempt, not a crash.
 
-The two modes are decision-identical by construction (``route_online``
-mirrors ``route`` on the residual view), so the deterministic metrics
-never depend on the mode — only the re-plan latency does.  Wall-clock
+The two modes are decision-identical by construction: ALG-N-FUSION's
+``route_online`` and ``route`` run one planning pipeline, the first
+over the session ledger and the second over a fresh ledger of the
+residual view, whose capacities are that ledger's remaining counts.
+The deterministic metrics therefore never depend on the mode — only
+the re-plan latency does.  An arrival that finds no route is rejected
+on the spot (a loss system; nothing queues or retries it).  Wall-clock
 latency (re-plan and recovery alike) is measured through the
 sanctioned :func:`repro.utils.timing.perf_timer` accessor and reported
 separately from the deterministic metrics; it must never reach stdout

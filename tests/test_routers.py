@@ -2,16 +2,24 @@
 
 import pytest
 
+from repro.experiments.harness import sample_seeds
+from repro.experiments.scenarios import as_scenario
 from repro.network.builder import NetworkConfig, build_network
 from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.quantum.noise import LinkModel, SwapModel
-from repro.routing.baselines import B1Router, QCastNRouter, QCastRouter
+from repro.routing.baselines import (
+    B1Router,
+    MCFRouter,
+    QCastNRouter,
+    QCastRouter,
+)
 from repro.routing.nfusion import AlgNFusion
 from repro.utils.rng import ensure_rng
 
 from tests.conftest import make_diamond_network
 
-ROUTERS = [AlgNFusion(), QCastRouter(), QCastNRouter(), B1Router()]
+ROUTERS = [AlgNFusion(), QCastRouter(), QCastNRouter(), B1Router(),
+           MCFRouter()]
 
 
 def small_instance(seed=1, num_switches=30, num_states=8):
@@ -21,6 +29,17 @@ def small_instance(seed=1, num_switches=30, num_states=8):
     )
     demands = generate_demands(network, num_states, rng)
     return network, demands
+
+
+def paper_grid_seed12_instance():
+    """Sample 0 of ``paper-grid`` at seed 12, built the way the sweep
+    harness builds a task's instance.  MCF once planned 12 qubits on
+    its 10-qubit switch 13 here, by widening a shared edge for free."""
+    setting = as_scenario("paper-grid").setting(num_networks=1, seed=12)
+    rng = ensure_rng(sample_seeds(setting)[0])
+    network = build_network(setting.network, rng)
+    demands = generate_demands(network, setting.num_states, rng)
+    return network, demands, setting.link_model(), setting.swap_model()
 
 
 @pytest.mark.parametrize("router", ROUTERS, ids=lambda r: r.name)
@@ -35,12 +54,19 @@ class TestEveryRouter:
             assert 0.0 <= rate <= 1.0
 
     def test_capacity_respected(self, router):
-        network, demands = small_instance(seed=2)
-        link, swap = LinkModel(fixed_p=0.5), SwapModel(q=0.9)
-        result = router.route(network, demands, link, swap)
-        usage = result.plan.qubits_used()
-        for switch in network.switches():
-            assert usage.get(switch, 0) <= network.qubit_capacity(switch)
+        # Instances loop inside the test, so each router keeps its id.
+        instances = {
+            "small": (*small_instance(seed=2), LinkModel(fixed_p=0.5),
+                      SwapModel(q=0.9)),
+            "paper-grid seed 12": paper_grid_seed12_instance(),
+        }
+        for label, (network, demands, link, swap) in instances.items():
+            result = router.route(network, demands, link, swap)
+            usage = result.plan.qubits_used()
+            for switch in network.switches():
+                assert usage.get(switch, 0) <= network.qubit_capacity(
+                    switch
+                ), f"{label}: switch {switch} over capacity"
 
     def test_routes_are_valid_flow_graphs(self, router):
         network, demands = small_instance(seed=3)
@@ -98,12 +124,19 @@ class TestOrderings:
 
     def test_qcast_uses_width_one_only(self):
         network, demands = small_instance(seed=7)
-        result = QCastRouter().route(
-            network, demands, LinkModel(fixed_p=0.5), SwapModel()
-        )
+        link, swap = LinkModel(fixed_p=0.5), SwapModel()
+        result = QCastRouter().route(network, demands, link, swap)
         for flow in result.plan.flows():
             assert flow.num_paths == 1
             assert set(flow.edge_widths().values()) == {1}
+        # Q-CAST is Q-CAST-N restricted to width 1.
+        width_one = QCastNRouter(max_width=1).route(
+            network, demands, link, swap
+        )
+        assert result.demand_rates == width_one.demand_rates
+        assert [(f.demand_id, f.paths) for f in result.plan.flows()] == [
+            (f.demand_id, f.paths) for f in width_one.plan.flows()
+        ]
 
     def test_b1_respects_its_caps(self):
         network, demands = small_instance(seed=8)

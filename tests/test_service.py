@@ -35,7 +35,7 @@ from repro.service.loop import (
     run_serve,
 )
 from repro.service.runner import run_serve_experiment, serve_key
-from repro.network.demands import Demand
+from repro.network.demands import Demand, DemandSet
 from repro.utils.rng import ensure_rng
 
 LINK = LinkModel(fixed_p=0.4)
@@ -205,20 +205,51 @@ class TestServeLoop:
             assert view.qubit_capacity(user) is None
 
     def test_replan_modes_bit_identical(self):
+        # One configuration per loop pass rather than a parametrize, so
+        # the test keeps its id; each failure names its configuration.
         network = _small_instance()
         spec = parse_arrivals(ARRIVALS)
         events = poisson_events(spec, 7, len(network.users()), 40.0)
-        runs = {
-            mode: run_serve(
-                network, LINK, SWAP,
-                _online_router(),
-                events, 40.0, 5.0, replan=mode,
-            )
-            for mode in ("incremental", "resnapshot")
-        }
-        assert runs["incremental"].mode == "incremental"
-        assert runs["resnapshot"].mode == "resnapshot"
-        assert runs["incremental"].metrics == runs["resnapshot"].metrics
+        users = network.users()
+        demand = Demand(0, users[0], users[1])
+        for include_alg4 in (False, True):
+            for policy in ("efficiency", "widest_first"):
+                config = f"include_alg4={include_alg4}, {policy}"
+                router = make_router(
+                    "alg-n-fusion", include_alg4=include_alg4,
+                    admission_policy=policy,
+                )
+                runs = {
+                    mode: run_serve(
+                        network, LINK, SWAP, router,
+                        events, 40.0, 5.0, replan=mode,
+                    )
+                    for mode in ("incremental", "resnapshot")
+                }
+                assert runs["incremental"].mode == "incremental", config
+                assert runs["resnapshot"].mode == "resnapshot", config
+                assert (
+                    runs["incremental"].metrics
+                    == runs["resnapshot"].metrics
+                ), config
+                # On a fresh ledger with no bans, route_online is route
+                # over the single-demand set.
+                online = router.route_online(
+                    network, demand, LINK, SWAP,
+                    ledger=QubitLedger(network),
+                )
+                batch = router.route(network, DemandSet([demand]), LINK, SWAP)
+                assert online.demand_rates == batch.demand_rates, config
+                assert [
+                    (f.demand_id, f.paths, f.edge_widths())
+                    for f in online.plan.flows()
+                ] == [
+                    (f.demand_id, f.paths, f.edge_widths())
+                    for f in batch.plan.flows()
+                ], config
+                assert (
+                    online.remaining_qubits == batch.remaining_qubits
+                ), config
 
     def test_router_without_online_interface_falls_back(self):
         network = _small_instance()

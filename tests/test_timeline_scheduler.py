@@ -1,20 +1,13 @@
-"""Tests for time-slotted simulation and the online scheduler."""
+"""Tests for time-slotted simulation."""
 
 import pytest
 
-from repro.exceptions import ConfigurationError, SimulationError
-from repro.network.builder import NetworkConfig, build_network
-from repro.network.demands import Demand, DemandSet, generate_demands
+from repro.exceptions import SimulationError
 from repro.quantum.noise import LinkModel, SwapModel
-from repro.routing.baselines import QCastRouter
 from repro.routing.flow_graph import FlowLikeGraph
-from repro.routing.nfusion import AlgNFusion
 from repro.routing.plan import RoutingPlan
-from repro.routing.scheduler import OnlineScheduler
 from repro.simulation.timeline import TimeSlottedSimulator
 from repro.utils.rng import ensure_rng
-
-from tests.conftest import make_diamond_network
 
 
 def diamond_plan(width=1):
@@ -65,56 +58,3 @@ class TestTimeSlottedSimulator:
         sim = TimeSlottedSimulator(diamond_network, rng=ensure_rng(1))
         with pytest.raises(SimulationError):
             sim.run(diamond_plan(), num_slots=0)
-
-
-class TestOnlineScheduler:
-    @pytest.fixture(scope="class")
-    def network(self):
-        return build_network(
-            NetworkConfig(num_switches=30, num_users=6), ensure_rng(21)
-        )
-
-    def test_basic_run(self, network):
-        scheduler = OnlineScheduler(router=AlgNFusion(), arrival_rate=1.5)
-        result = scheduler.run(
-            network, num_slots=10,
-            link_model=LinkModel(fixed_p=0.5),
-            swap_model=SwapModel(q=0.9),
-            rng=ensure_rng(5),
-        )
-        assert result.arrived == result.served + result.dropped
-        assert 0.0 <= result.service_fraction <= 1.0
-        assert result.mean_throughput_per_slot >= 0.0
-
-    def test_deterministic_given_seed(self, network):
-        def run():
-            return OnlineScheduler(router=QCastRouter(), arrival_rate=2.0).run(
-                network, num_slots=8,
-                link_model=LinkModel(fixed_p=0.5),
-                swap_model=SwapModel(q=0.9),
-                rng=ensure_rng(6),
-            )
-
-        a, b = run(), run()
-        assert a == b
-
-    def test_low_arrival_rate_serves_everything(self, network):
-        scheduler = OnlineScheduler(router=AlgNFusion(), arrival_rate=0.5,
-                                    patience=5)
-        result = scheduler.run(
-            network, num_slots=12,
-            link_model=LinkModel(fixed_p=0.6),
-            swap_model=SwapModel(q=0.9),
-            rng=ensure_rng(7),
-        )
-        if result.arrived:
-            assert result.service_fraction > 0.8
-
-    def test_validation(self, network):
-        with pytest.raises(ConfigurationError):
-            OnlineScheduler(router=AlgNFusion(), arrival_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            OnlineScheduler(router=AlgNFusion(), patience=-1)
-        scheduler = OnlineScheduler(router=AlgNFusion())
-        with pytest.raises(ConfigurationError):
-            scheduler.run(network, num_slots=0)
