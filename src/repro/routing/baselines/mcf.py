@@ -15,7 +15,9 @@ to the paper's model as an additional comparator:
   ``-log(p_e * q)``, the LP surrogate for the multiplicative rate metric.
 
 The fractional solution is decomposed into at most ``max_paths`` paths
-per demand (greedy max-bottleneck extraction), and each path is admitted
+per demand — each walk follows the highest-flow out-arc, falling back to
+BFS over positive-flow arcs, and takes the walked path's bottleneck flow,
+rounded, as its width — and each path is admitted
 through Algorithm 3's :func:`~repro.routing.alg3_merge.try_admit`, the
 same ledger admission ALG-N-FUSION uses: a path that widens an edge the
 demand's flow already holds is charged the extra qubits, so a plan never
@@ -45,6 +47,8 @@ from repro.routing.plan import RoutingPlan
 from repro.routing.registry import register_router
 
 Arc = Tuple[int, int]
+#: ``(A, b)`` of one constraint block; ``(None, None)`` when it is empty.
+_Matrix = Tuple[Optional[object], Optional[np.ndarray]]
 
 
 @register_router("mcf")
@@ -75,31 +79,34 @@ class MCFRouter:
         swap_model = swap_model or SwapModel()
         demand_list = list(demands)
         arcs = self._arcs(network)
-        arc_index = {arc: i for i, arc in enumerate(arcs)}
-        num_demands = len(demand_list)
-        num_vars = num_demands * len(arcs)
+        num_arcs = len(arcs)
+        num_vars = len(demand_list) * num_arcs
+        # incident[node]: (arc index, +1.0 leaving / -1.0 entering), in
+        # ascending arc order — every LP row below reads its nonzeros here.
+        incident: Dict[int, List[Tuple[int, float]]] = {
+            node: [] for node in network.nodes()
+        }
+        for i, (a, b) in enumerate(arcs):
+            incident[a].append((i, 1.0))
+            incident[b].append((i, -1.0))
 
-        def var(d: int, arc: Arc) -> int:
-            return d * len(arcs) + arc_index[arc]
-
-        objective = np.zeros(num_vars)
         q = swap_model.success_probability(2)
-        for d in range(num_demands):
-            for arc in arcs:
-                a, b = arc
-                p = link_model.success_probability(network.edge_length(a, b))
-                cost = -math.log(max(p, 1e-9) * max(q, 1e-9))
-                objective[var(d, arc)] = self.cost_weight * cost
-        # Reward delivered flow: subtract 1 per unit of source out-flow.
+        costs: List[float] = []
+        for a, b in arcs:
+            p = link_model.success_probability(network.edge_length(a, b))
+            costs.append(
+                self.cost_weight * -math.log(max(p, 1e-9) * max(q, 1e-9))
+            )
+        objective = np.tile(costs, len(demand_list))
+        # Reward delivered flow: -1 per unit leaving the source, +1 per
+        # unit re-entering it.
         for d, demand in enumerate(demand_list):
-            for arc in arcs:
-                if arc[0] == demand.source:
-                    objective[var(d, arc)] -= 1.0
-                if arc[1] == demand.source:
-                    objective[var(d, arc)] += 1.0
+            for i, sign in incident[demand.source]:
+                objective[d * num_arcs + i] -= sign
 
-        a_eq, b_eq = self._conservation(network, demand_list, arcs, var)
-        a_ub, b_ub = self._capacities(network, demand_list, arcs, var)
+        (a_eq, b_eq), (a_ub, b_ub) = self._constraints(
+            network, demand_list, incident, num_arcs
+        )
         bounds = [(0.0, float(self.max_width))] * num_vars
         solution = linprog(
             objective,
@@ -119,10 +126,9 @@ class MCFRouter:
         rate_cache = ChannelRateCache(network, link_model)
         flows: Dict[int, FlowLikeGraph] = {}
         for d, demand in enumerate(demand_list):
+            segment = flows_vector[d * num_arcs:(d + 1) * num_arcs].tolist()
             arc_flow = {
-                arc: float(flows_vector[var(d, arc)])
-                for arc in arcs
-                if flows_vector[var(d, arc)] > 1e-6
+                arc: flow for arc, flow in zip(arcs, segment) if flow > 1e-6
             }
             self._decompose_and_admit(
                 network, link_model, swap_model, demand, arc_flow, flows,
@@ -145,89 +151,49 @@ class MCFRouter:
             arcs.append((edge.v, edge.u))
         return arcs
 
-    def _conservation(self, network, demand_list, arcs, var):
-        """Per-demand conservation at switches; users only source/sink.
+    def _constraints(
+        self,
+        network: QuantumNetwork,
+        demand_list: List[Demand],
+        incident: Dict[int, List[Tuple[int, float]]],
+        num_arcs: int,
+    ) -> Tuple[_Matrix, _Matrix]:
+        """``((A_eq, b_eq), (A_ub, b_ub))`` read off the incidence map.
 
-        Built sparsely: the constraint matrix has one row per
-        (demand, switch) pair but only ``degree`` nonzeros per row.
+        Variable ``d * num_arcs + i`` is demand *d*'s flow on arc *i*.
+        Equality rows, per demand: conservation (out - in) at every
+        switch, then zero flow at every user other than the demand's
+        endpoints (users only source or sink).  ``(None, None)`` when
+        there are none.  Inequality rows: one capacity row per switch —
+        each unit of undirected width costs the switch one qubit and
+        arcs double-count direction, so 0.5 per incident arc of every
+        demand — then each demand's source out-flow, capped at
+        ``max_width``.
         """
-        from scipy.sparse import csr_matrix
-
-        data: List[float] = []
-        row_idx: List[int] = []
-        col_idx: List[int] = []
-        rhs: List[float] = []
-        num_vars = len(demand_list) * len(arcs)
-        row = 0
-        for d, demand in enumerate(demand_list):
-            for node in network.switches():
-                for arc in arcs:
-                    if arc[0] == node:
-                        data.append(1.0)
-                        row_idx.append(row)
-                        col_idx.append(var(d, arc))
-                    elif arc[1] == node:
-                        data.append(-1.0)
-                        row_idx.append(row)
-                        col_idx.append(var(d, arc))
-                rhs.append(0.0)
-                row += 1
-            # Forbid relaying through other users.
+        switches = network.switches()
+        bases = [d * num_arcs for d in range(len(demand_list))]
+        eq, ub = _LPRows(), _LPRows()
+        for base, demand in zip(bases, demand_list):
+            for node in switches:
+                eq.add([(base + i, sign) for i, sign in incident[node]], 0.0)
             for user in network.users():
-                if user in (demand.source, demand.destination):
-                    continue
-                for arc in arcs:
-                    if user in arc:
-                        data.append(1.0)
-                        row_idx.append(row)
-                        col_idx.append(var(d, arc))
-                rhs.append(0.0)
-                row += 1
-        if row == 0:
-            return None, None
-        matrix = csr_matrix(
-            (data, (row_idx, col_idx)), shape=(row, num_vars)
+                if user not in (demand.source, demand.destination):
+                    eq.add([(base + i, 1.0) for i, _ in incident[user]], 0.0)
+        for node in switches:
+            ub.add(
+                [(base + i, 0.5) for base in bases for i, _ in incident[node]],
+                float(network.qubit_capacity(node)),
+            )
+        for base, demand in zip(bases, demand_list):
+            ub.add(
+                [(base + i, sign) for i, sign in incident[demand.source]],
+                float(self.max_width),
+            )
+        num_vars = len(demand_list) * num_arcs
+        return (
+            eq.matrix(num_vars) if eq.rhs else (None, None),
+            ub.matrix(num_vars),
         )
-        return matrix, np.array(rhs)
-
-    def _capacities(self, network, demand_list, arcs, var):
-        from scipy.sparse import csr_matrix
-
-        data: List[float] = []
-        row_idx: List[int] = []
-        col_idx: List[int] = []
-        rhs: List[float] = []
-        num_vars = len(demand_list) * len(arcs)
-        row = 0
-        for node in network.switches():
-            for d in range(len(demand_list)):
-                for arc in arcs:
-                    if node in arc:
-                        # Each unit of undirected width at this switch
-                        # costs one qubit; arcs double-count direction, so
-                        # weight by 1/2 per direction.
-                        data.append(0.5)
-                        row_idx.append(row)
-                        col_idx.append(var(d, arc))
-            rhs.append(float(network.qubit_capacity(node)))
-            row += 1
-        # Cap the per-demand source out-flow at max_width.
-        for d, demand in enumerate(demand_list):
-            for arc in arcs:
-                if arc[0] == demand.source:
-                    data.append(1.0)
-                    row_idx.append(row)
-                    col_idx.append(var(d, arc))
-                elif arc[1] == demand.source:
-                    data.append(-1.0)
-                    row_idx.append(row)
-                    col_idx.append(var(d, arc))
-            rhs.append(float(self.max_width))
-            row += 1
-        matrix = csr_matrix(
-            (data, (row_idx, col_idx)), shape=(row, num_vars)
-        )
-        return matrix, np.array(rhs)
 
     def _decompose_and_admit(
         self,
@@ -240,9 +206,11 @@ class MCFRouter:
         ledger: QubitLedger,
         rate_cache: ChannelRateCache,
     ) -> None:
-        """Greedy max-bottleneck path extraction; each path is admitted
-        into *flows* through Algorithm 3's :func:`try_admit`, which
-        charges *ledger* for new edges and for widening shared ones."""
+        """Peel up to ``max_paths`` paths off *arc_flow*; each path's
+        width is its bottleneck flow, rounded (at least 1), and each is
+        admitted into *flows* through Algorithm 3's :func:`try_admit`,
+        which charges *ledger* for new edges and for widening shared
+        ones."""
         remaining = dict(arc_flow)
         for _ in range(self.max_paths):
             path = self._extract_path(network, demand, remaining)
@@ -272,10 +240,9 @@ class MCFRouter:
         demand: Demand,
         remaining: Dict[Arc, float],
     ) -> Optional[List[int]]:
-        """Widest path through the residual fractional flow (BFS over
-        arcs with positive flow, max-bottleneck via binary relaxation)."""
-        # Simple approach: repeatedly follow the highest-flow outgoing arc
-        # with loop avoidance; fall back to BFS if greedy stalls.
+        """A source-destination path through the residual flow: follow
+        the highest-flow out-arc (never revisiting a node), or, if that
+        walk stalls, the BFS path over arcs with positive flow."""
         path = self._greedy_walk(network, demand, remaining)
         if path is not None:
             return path
@@ -317,3 +284,32 @@ class MCFRouter:
                     parents[arc[1]] = node
                     frontier.append(arc[1])
         return None
+
+
+class _LPRows:
+    """LP constraint rows collected in order, as sparse COO triplets."""
+
+    def __init__(self) -> None:
+        self.data: List[float] = []
+        self.rows: List[int] = []
+        self.cols: List[int] = []
+        self.rhs: List[float] = []
+
+    def add(self, entries: List[Tuple[int, float]], rhs: float) -> None:
+        """Append one row: its ``(variable, coefficient)`` nonzeros."""
+        row = len(self.rhs)
+        for col, coeff in entries:
+            self.data.append(coeff)
+            self.rows.append(row)
+            self.cols.append(col)
+        self.rhs.append(rhs)
+
+    def matrix(self, num_vars: int) -> _Matrix:
+        """The rows as ``(csr_matrix, rhs vector)``."""
+        from scipy.sparse import csr_matrix
+
+        shape = (len(self.rhs), num_vars)
+        return (
+            csr_matrix((self.data, (self.rows, self.cols)), shape=shape),
+            np.array(self.rhs),
+        )

@@ -184,14 +184,12 @@ class CompiledNetwork:
         "index_of",
         "is_user",
         "capacity",
-        "indptr",
         "indptr_list",
         "adj_nodes",
         "adj_nodes_list",
         "adj_edges",
         "edge_keys",
         "edge_index",
-        "edge_slots",
         "edge_probability",
         "_relay_cache",
         "_static_relay",
@@ -254,18 +252,14 @@ class CompiledNetwork:
         # the hot loop does several per pop).
         self.indptr_list: List[int] = indptr
         self.adj_nodes_list: List[int] = adj_nodes
-        self.indptr = np.asarray(indptr, dtype=np.intp)
         self.adj_nodes = np.asarray(adj_nodes, dtype=np.intp)
         self.adj_edges = np.asarray(adj_edges, dtype=np.intp)
         # Each undirected edge occupies exactly two CSR slots (one per
         # endpoint row); grouping the stable eid argsort two-by-two maps
         # an edge id to both its slots for banned-edge masking.
-        if self.adj_edges.size:
-            order = np.argsort(self.adj_edges, kind="stable")
-            self.edge_slots = order.reshape(len(edge_keys), 2)
-        else:
-            self.edge_slots = np.zeros((0, 2), dtype=np.intp)
-        self.edge_slots_list: List[List[int]] = self.edge_slots.tolist()
+        self.edge_slots_list: List[List[int]] = np.argsort(
+            self.adj_edges, kind="stable"
+        ).reshape(-1, 2).tolist()
         n = len(node_ids)
         # Per-width relay-feasibility flags, patched incrementally from
         # the owning ledger's feasibility journal (see relay_feasible):
@@ -391,18 +385,7 @@ class CompiledNetwork:
                 self._static_relay[width] = entry
             return entry
         has = ledger.has_at_least
-        token = getattr(ledger, "feasibility_token", None)
-        if token is None:  # a ledger-like without a journal: full scan
-            flags = np.fromiter(
-                (
-                    (not user) and has(nid, need)
-                    for user, nid in zip(self.is_user, self.node_ids)
-                ),
-                dtype=bool,
-                count=n,
-            )
-            return flags, self._flags_version_for(width, flags)
-        epoch, length = token()
+        epoch, length = ledger.feasibility_token()
         entry = self._relay_cache.get(width)
         if entry is not None and entry[0] is ledger and entry[1] == epoch:
             flags = entry[3]
@@ -793,17 +776,10 @@ def _persistent_snapshot(
     is kept on the network keyed by ``(link_model, topology_version)``
     — the frozen-dataclass link model compares by value and the version
     counter changes exactly when the topology mutates, so a stale
-    snapshot can never be returned.  Network-likes without the counter
-    (or without a ``__dict__``) just get a fresh snapshot.
+    snapshot can never be returned.
     """
-    version = getattr(network, "topology_version", None)
-    if version is None:
-        return CompiledNetwork(network, link_model)
-    key = (link_model, version)
-    try:
-        memo = network.__dict__.setdefault("_compiled_snapshots", {})
-    except AttributeError:
-        return CompiledNetwork(network, link_model)
+    key = (link_model, network.topology_version)
+    memo = network.__dict__.setdefault("_compiled_snapshots", {})
     snapshot = memo.get(key)
     if snapshot is None:
         if len(memo) >= _SNAPSHOT_MEMO_LIMIT:

@@ -6,9 +6,12 @@ pytest.importorskip("scipy")
 
 from repro.network.builder import NetworkConfig, build_network
 from repro.network.demands import Demand, DemandSet, generate_demands
+from repro.network.graph import QuantumNetwork
+from repro.network.node import QuantumUser
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.baselines.mcf import MCFRouter
 from repro.routing.nfusion import AlgNFusion
+from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
 
 from tests.conftest import make_diamond_network, make_line_network
@@ -59,6 +62,21 @@ class TestMCFRouter:
         result = MCFRouter().route(network, demands, link, swap)
         for rate in result.demand_rates.values():
             assert 0.0 <= rate <= 1.0
+
+    def test_two_users_one_edge_has_no_equality_rows(self, models):
+        """No switches and no bystander users: the LP has only the
+        source out-flow row, and ``A_eq`` is left out."""
+        link, swap = models
+        network = QuantumNetwork()
+        network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+        network.add_node(QuantumUser(1, Point(1000.0, 0.0)))
+        network.add_edge(0, 1)
+        demands = DemandSet([Demand(0, 0, 1)])
+        result = MCFRouter().route(network, demands, link, swap)
+        flow = result.plan.flow_for(0)
+        assert flow.paths == [(0, 1)]
+        assert flow.edge_widths() == {(0, 1): 3}
+        assert result.total_rate == 0.875
 
     def test_beats_nothing_route_when_disconnected(self, models):
         link, swap = models

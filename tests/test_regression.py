@@ -20,6 +20,7 @@ from repro.experiments.regression import (
 from repro.network.serialization import load_instance, save_instance
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.baselines import B1Router, QCastNRouter, QCastRouter
+from repro.routing.baselines.mcf import MCFRouter
 from repro.routing.nfusion import AlgNFusion
 
 INSTANCE = pathlib.Path(__file__).parent / "data" / "regression_instance.json"
@@ -29,6 +30,7 @@ PINNED_RATES = {
     "Q-CAST": 0.9676800000000001,
     "Q-CAST-N": 3.567133129380986,
     "B1": 2.699442708480001,
+    "MCF": 2.0499023462399997,
 }
 
 ROUTERS = {
@@ -36,6 +38,7 @@ ROUTERS = {
     "Q-CAST": QCastRouter,
     "Q-CAST-N": QCastNRouter,
     "B1": B1Router,
+    "MCF": MCFRouter,
 }
 
 
